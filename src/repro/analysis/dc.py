@@ -27,6 +27,7 @@ from ..resilience.diagnostics import attach_diagnostics, build_failure_diagnosti
 from ..utils.exceptions import ConvergenceError, SingularMatrixError
 from ..utils.logging import get_logger
 from ..utils.options import ContinuationOptions, NewtonOptions
+from .evaluation import PointEvaluation
 
 __all__ = ["DCSolution", "dc_operating_point"]
 
@@ -67,24 +68,33 @@ class DCSolution:
 
 
 def _with_gmin_diagonal(jacobian: np.ndarray, gmin_diag: np.ndarray) -> np.ndarray:
-    """Add the (sparse) gmin diagonal onto a dense conductance Jacobian."""
+    """A new array: the (sparse) gmin diagonal added onto a dense conductance Jacobian.
+
+    ``jacobian`` is a shared, read-only evaluation array and is never
+    written.
+    """
     idx = np.arange(jacobian.shape[0])
-    jacobian[idx, idx] += gmin_diag
-    return jacobian
+    result = jacobian.copy()
+    result[idx, idx] += gmin_diag
+    return result
 
 
 def _plain_newton(
-    mna: MNASystem, x0: np.ndarray, b0: np.ndarray, options: NewtonOptions
+    mna: MNASystem,
+    x0: np.ndarray,
+    b0: np.ndarray,
+    options: NewtonOptions,
+    evaluation: PointEvaluation,
 ) -> NewtonResult:
     # ``gmin_matrix`` is a sparse diagonal; only its diagonal vector is needed
     # here, so neither the residual nor the Jacobian ever densifies it.
     gmin_diag = mna.gmin_matrix(_GMIN_FINAL).diagonal()
 
     def residual(x: np.ndarray) -> np.ndarray:
-        return mna.f(x) + b0 + gmin_diag * x
+        return evaluation.at(x, jacobian=True).f[0] + b0 + gmin_diag * x
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        return _with_gmin_diagonal(mna.conductance_matrix(x), gmin_diag)
+        return _with_gmin_diagonal(evaluation.at(x, jacobian=True).conductance[0], gmin_diag)
 
     try:
         return newton_solve(residual, jacobian, x0, options, raise_on_failure=False)
@@ -108,6 +118,7 @@ def _gmin_stepping(
     b0: np.ndarray,
     newton_options: NewtonOptions,
     continuation_options: ContinuationOptions,
+    evaluation: PointEvaluation,
     deadline: Deadline | None = None,
 ):
     """Sweep gmin from _GMIN_START down to _GMIN_FINAL (log-spaced embedding)."""
@@ -119,10 +130,11 @@ def _gmin_stepping(
         return 10.0 ** (log_start + lam * (log_final - log_start))
 
     def residual(x: np.ndarray, lam: float) -> np.ndarray:
-        return mna.f(x) + b0 + (gmin_of(lam) * unit_diag) * x
+        return evaluation.at(x, jacobian=True).f[0] + b0 + (gmin_of(lam) * unit_diag) * x
 
     def jacobian(x: np.ndarray, lam: float) -> np.ndarray:
-        return _with_gmin_diagonal(mna.conductance_matrix(x), gmin_of(lam) * unit_diag)
+        conductance = evaluation.at(x, jacobian=True).conductance[0]
+        return _with_gmin_diagonal(conductance, gmin_of(lam) * unit_diag)
 
     return continuation_solve(
         residual, jacobian, x0, newton_options, continuation_options, deadline=deadline
@@ -135,17 +147,18 @@ def _source_stepping(
     b0: np.ndarray,
     newton_options: NewtonOptions,
     continuation_options: ContinuationOptions,
+    evaluation: PointEvaluation,
     deadline: Deadline | None = None,
 ):
     """Ramp the full excitation vector from zero up to its nominal value."""
     gmin_diag = mna.gmin_matrix(_GMIN_FINAL).diagonal()
 
     def residual(x: np.ndarray, lam: float) -> np.ndarray:
-        return mna.f(x) + lam * b0 + gmin_diag * x
+        return evaluation.at(x, jacobian=True).f[0] + lam * b0 + gmin_diag * x
 
     def jacobian(x: np.ndarray, lam: float) -> np.ndarray:
         del lam
-        return _with_gmin_diagonal(mna.conductance_matrix(x), gmin_diag)
+        return _with_gmin_diagonal(evaluation.at(x, jacobian=True).conductance[0], gmin_diag)
 
     return continuation_solve(
         residual, jacobian, x0, newton_options, continuation_options, deadline=deadline
@@ -194,8 +207,11 @@ def dc_operating_point(
     deadline = Deadline(deadline_s)
     x_start = mna.zero_state() if x0 is None else np.asarray(x0, dtype=float).copy()
     b0 = mna.source(time)
+    # Every strategy takes f and G of an iterate from one evaluation; DC
+    # never needs the charges' Jacobian.
+    evaluation = PointEvaluation(mna, which="conductance")
 
-    result = _plain_newton(mna, x_start, b0, nopts)
+    result = _plain_newton(mna, x_start, b0, nopts, evaluation)
     if result.converged:
         return DCSolution(
             x=result.x,
@@ -209,8 +225,8 @@ def dc_operating_point(
     # Continuation embeddings can fail by divergence *or* by hitting a
     # singular embedded Jacobian; both mean "try the next strategy".
     try:
-        cont = _gmin_stepping(mna, x_start, b0, nopts, copts, deadline)
-        residual_norm = float(np.max(np.abs(mna.f(cont.x) + b0)))
+        cont = _gmin_stepping(mna, x_start, b0, nopts, copts, evaluation, deadline)
+        residual_norm = float(np.max(np.abs(evaluation.at(cont.x).f[0] + b0)))
         return DCSolution(
             x=cont.x,
             strategy="gmin-stepping",
@@ -222,8 +238,8 @@ def dc_operating_point(
     deadline.check("dc source stepping")
 
     try:
-        cont = _source_stepping(mna, x_start, b0, nopts, copts, deadline)
-        residual_norm = float(np.max(np.abs(mna.f(cont.x) + b0)))
+        cont = _source_stepping(mna, x_start, b0, nopts, copts, evaluation, deadline)
+        residual_norm = float(np.max(np.abs(evaluation.at(cont.x).f[0] + b0)))
         return DCSolution(
             x=cont.x,
             strategy="source-stepping",

@@ -32,6 +32,7 @@ from ..utils.exceptions import AnalysisError, ConvergenceError
 from ..utils.logging import get_logger
 from ..utils.options import NewtonOptions, ShootingOptions
 from .dc import dc_operating_point
+from .evaluation import PointEvaluation
 from .integration import StepContext, make_integration_rule
 from .transient import ChordJacobianCache, solve_implicit_step
 
@@ -95,30 +96,37 @@ def _transition_map(
     rule,
     newton_options: NewtonOptions,
     *,
-    want_monodromy: bool,
     stats: ShootingStats,
     cache: ChordJacobianCache | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """Integrate one period and (optionally) accumulate the monodromy matrix.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate one period and accumulate the monodromy matrix.
 
     Returns ``(x_final, monodromy, times, states)``.  The optional chord
     cache is shared across all inner implicit steps (and, via the caller,
     across shooting sweeps): the step Jacobian is refactored only when the
     integration coefficient changes or convergence degrades, instead of once
     per Newton iteration of every time step.
+
+    Devices are evaluated once per distinct iterate: the step's Newton
+    iteration leaves the evaluation at ``x_new`` (with its Jacobian, in full
+    Newton) in the shared :class:`PointEvaluation`, and the monodromy and
+    the step history read it from there; the previous step's evaluation is
+    kept for the monodromy's ``dr/dx_k`` term.
     """
     n = mna.n_unknowns
     h = period / n_steps
     x = np.asarray(x0, dtype=float).copy()
     t = t0
 
-    monodromy = np.eye(n) if want_monodromy else None
+    monodromy = np.eye(n)
     times = [t]
     states = [x.copy()]
 
-    q_prev = mna.q(x)
-    qdot_prev = -(mna.f(x) + mna.source(t))
-    context = StepContext(q_prev=q_prev, qdot_prev=qdot_prev)
+    # The monodromy needs the Jacobian at every accepted state, so in chord
+    # mode the residual-only evaluations there are topped up with one.
+    evaluation = PointEvaluation(mna)
+    eval_old = evaluation.at(x, jacobian=True)
+    context = StepContext(q_prev=eval_old.q[0], qdot_prev=-(eval_old.f[0] + mna.source(t)))
 
     # The very first step always uses backward Euler.  For the trapezoidal
     # rule, the one-step map of a DAE depends on the *algebraic* part of the
@@ -133,36 +141,47 @@ def _transition_map(
         t_new = t + h
         b_new = mna.source(t_new)
         x_new, iterations = solve_implicit_step(
-            mna, x, t_new, h, context, step_rule, newton_options, cache=cache, b_new=b_new
+            mna,
+            x,
+            t_new,
+            h,
+            context,
+            step_rule,
+            newton_options,
+            cache=cache,
+            b_new=b_new,
+            evaluation=evaluation,
         )
         stats.newton_iterations += iterations
         stats.total_time_steps += 1
 
-        if want_monodromy:
-            alpha, _r = step_rule.derivative_coefficients(h, context)
-            # Sensitivity propagation.  For the implicit step
-            #   alpha * q(x_{k+1}) + r(x_k) + f(x_{k+1}) + b_{k+1} = 0
-            # the chain rule gives
-            #   (alpha*C_{k+1} + G_{k+1}) dx_{k+1}/dx_k = -dr/dx_k.
-            eval_new = mna.evaluate(x_new.reshape(1, -1))
-            jac_new = alpha * eval_new.capacitance[0] + eval_new.conductance[0]
-            eval_old = mna.evaluate(x.reshape(1, -1))
-            if step_rule.name == "trapezoidal":
-                # r = -2 q(x_k)/h - qdot_k with qdot_k = -(f(x_k) + b_k)
-                dr_dxk = -(2.0 / h) * eval_old.capacitance[0] + eval_old.conductance[0]
-            elif step_rule.name == "backward-euler":
-                dr_dxk = -(1.0 / h) * eval_old.capacitance[0]
-            else:
-                raise AnalysisError(
-                    f"monodromy propagation is not implemented for integration rule "
-                    f"{step_rule.name!r}; use 'backward-euler' or 'trapezoidal'"
-                )
-            step_sensitivity = np.linalg.solve(jac_new, -dr_dxk)
-            monodromy = step_sensitivity @ monodromy
+        alpha, _r = step_rule.derivative_coefficients(h, context)
+        # Sensitivity propagation.  For the implicit step
+        #   alpha * q(x_{k+1}) + r(x_k) + f(x_{k+1}) + b_{k+1} = 0
+        # the chain rule gives
+        #   (alpha*C_{k+1} + G_{k+1}) dx_{k+1}/dx_k = -dr/dx_k.
+        eval_new = evaluation.at(x_new, jacobian=True)
+        jac_new = alpha * eval_new.capacitance[0] + eval_new.conductance[0]
+        if step_rule.name == "trapezoidal":
+            # r = -2 q(x_k)/h - qdot_k with qdot_k = -(f(x_k) + b_k)
+            dr_dxk = -(2.0 / h) * eval_old.capacitance[0] + eval_old.conductance[0]
+        elif step_rule.name == "backward-euler":
+            dr_dxk = -(1.0 / h) * eval_old.capacitance[0]
+        else:
+            raise AnalysisError(
+                f"monodromy propagation is not implemented for integration rule "
+                f"{step_rule.name!r}; use 'backward-euler' or 'trapezoidal'"
+            )
+        step_sensitivity = np.linalg.solve(jac_new, -dr_dxk)
+        monodromy = step_sensitivity @ monodromy
 
-        q_new = mna.q(x_new)
-        qdot_new = -(mna.f(x_new) + b_new)
-        context = StepContext(q_prev=q_new, qdot_prev=qdot_new, q_prev2=context.q_prev, h_prev=h)
+        context = StepContext(
+            q_prev=eval_new.q[0],
+            qdot_prev=-(eval_new.f[0] + b_new),
+            q_prev2=context.q_prev,
+            h_prev=h,
+        )
+        eval_old = eval_new
         x = x_new
         t = t_new
         times.append(t)
@@ -221,7 +240,6 @@ def shooting_periodic_steady_state(
             opts.steps_per_period,
             rule,
             opts.newton,
-            want_monodromy=True,
             stats=stats,
             cache=cache,
         )

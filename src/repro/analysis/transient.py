@@ -36,6 +36,7 @@ from ..utils.exceptions import AnalysisError, ConvergenceError, SingularMatrixEr
 from ..utils.logging import get_logger
 from ..utils.options import NewtonOptions, TransientOptions
 from .dc import dc_operating_point
+from .evaluation import PointEvaluation
 from .integration import StepContext, make_integration_rule
 
 __all__ = [
@@ -220,6 +221,7 @@ def solve_implicit_step(
     *,
     cache: ChordJacobianCache | None = None,
     b_new: np.ndarray | None = None,
+    evaluation: PointEvaluation | None = None,
 ) -> tuple[np.ndarray, int]:
     """Solve one implicit time step; returns the new state and Newton iterations.
 
@@ -232,17 +234,31 @@ def solve_implicit_step(
     without a cache.  ``b_new`` lets callers that already evaluated the
     excitation at ``t_new`` pass it in instead of paying a second device
     sweep.
+
+    Residual and Jacobian share one device evaluation per iterate through
+    ``evaluation`` (a :class:`~repro.analysis.evaluation.PointEvaluation`;
+    one is made when omitted).  Full-Newton residuals evaluate with the
+    Jacobian, chord-Newton residuals without.  Callers that keep theirs
+    across steps get the evaluation at the returned state for free: it is
+    the last iterate whose residual was computed.
     """
     alpha, r = rule.derivative_coefficients(h, context)
     if b_new is None:
         b_new = mna.source(t_new)
+    if evaluation is None:
+        evaluation = PointEvaluation(mna)
+
+    def chord_residual(x: np.ndarray) -> np.ndarray:
+        point = evaluation.at(x)
+        return alpha * point.q[0] + r + point.f[0] + b_new
 
     def residual(x: np.ndarray) -> np.ndarray:
-        return alpha * mna.q(x) + r + mna.f(x) + b_new
+        point = evaluation.at(x, jacobian=True)
+        return alpha * point.q[0] + r + point.f[0] + b_new
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        evaluation = mna.evaluate(x.reshape(1, -1))
-        return alpha * evaluation.capacitance[0] + evaluation.conductance[0]
+        point = evaluation.at(x, jacobian=True)
+        return alpha * point.capacitance[0] + point.conductance[0]
 
     if cache is not None and cache.step_allows_chord():
         if not cache.matches(alpha):
@@ -254,7 +270,7 @@ def solve_implicit_step(
             factored = cache.factored()
             try:
                 result = newton_solve(
-                    residual,
+                    chord_residual,
                     lambda _x: factored,
                     x_guess,
                     chord_options,
@@ -351,6 +367,7 @@ def run_transient(
         if opts.chord_newton
         else None
     )
+    evaluation = PointEvaluation(mna)
 
     x = _initial_state(mna, x0, use_dc_initial, t_start)
     t = t_start
@@ -359,9 +376,9 @@ def run_transient(
     times = [t]
     states = [x.copy()]
 
-    q_prev = mna.q(x)
-    qdot_prev = -(mna.f(x) + mna.source(t))
-    context = StepContext(q_prev=q_prev, qdot_prev=qdot_prev)
+    # The first step's first residual is at x: full Newton wants its Jacobian.
+    point = evaluation.at(x, jacobian=cache is None)
+    context = StepContext(q_prev=point.q[0], qdot_prev=-(point.f[0] + mna.source(t)))
 
     # History for the local-truncation-error predictor (adaptive mode):
     # linear extrapolation from the previous two accepted points.
@@ -378,9 +395,19 @@ def run_transient(
         t_new = t + h
         rejections = 0
         while True:
+            b_new = mna.source(t_new)
             try:
                 x_new, iters = solve_implicit_step(
-                    mna, x, t_new, h, context, rule, opts.newton, cache=cache
+                    mna,
+                    x,
+                    t_new,
+                    h,
+                    context,
+                    rule,
+                    opts.newton,
+                    cache=cache,
+                    b_new=b_new,
+                    evaluation=evaluation,
                 )
                 stats.newton_iterations += iters
                 stats.linear_solves += iters
@@ -443,13 +470,13 @@ def run_transient(
             h *= 0.5
             t_new = t + h
 
-        # Accept the step.
+        # Accept the step.  The step's last evaluated iterate is x_new, so
+        # the history costs no further device evaluation.
         stats.accepted_steps += 1
-        q_new = mna.q(x_new)
-        qdot_new = -(mna.f(x_new) + mna.source(t_new))
+        point = evaluation.at(x_new)
         context = StepContext(
-            q_prev=q_new,
-            qdot_prev=qdot_new,
+            q_prev=point.q[0],
+            qdot_prev=-(point.f[0] + b_new),
             q_prev2=context.q_prev,
             h_prev=h,
         )

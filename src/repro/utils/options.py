@@ -424,8 +424,6 @@ class ShootingOptions:
     abstol: float = 1e-8
     reltol: float = 1e-6
     integration_method: str = "trapezoidal"
-    use_matrix_free: bool = False
-    gmres_tol: float = 1e-8
     newton: NewtonOptions = field(default_factory=NewtonOptions)
     #: Reuse the LU factorisation across the inner integration steps of every
     #: shooting sweep (chord Newton); the monodromy accumulation is
@@ -438,7 +436,6 @@ class ShootingOptions:
         _require_positive("max_shooting_iterations", self.max_shooting_iterations)
         _require_positive("abstol", self.abstol)
         _require_positive("reltol", self.reltol)
-        _require_positive("gmres_tol", self.gmres_tol)
         _require_in(
             "integration_method",
             self.integration_method,

@@ -256,3 +256,43 @@ def scaled_switching_mixer():
 def rng():
     """Deterministic random generator for tests that need random data."""
     return np.random.default_rng(20020610)
+
+
+class EvaluationMeter:
+    """Counts the outermost device evaluations made on one compiled system.
+
+    Wraps ``evaluate`` and ``evaluate_sparse`` on the instance; a call made
+    from inside another (``q()`` calling ``evaluate``) is not counted again.
+    ``jacobian_calls`` counts those that asked for Jacobians.
+    """
+
+    def __init__(self, mna) -> None:
+        self.calls = 0
+        self.jacobian_calls = 0
+        self._depth = 0
+        mna.evaluate = self._wrap(mna.evaluate)
+        mna.evaluate_sparse = self._wrap(mna.evaluate_sparse)
+
+    def _wrap(self, function):
+        def metered(*args, **kwargs):
+            if self._depth:
+                return function(*args, **kwargs)
+            self._depth += 1
+            try:
+                return function(*args, **kwargs)
+            finally:
+                self._depth -= 1
+                self.calls += 1
+                self.jacobian_calls += kwargs.get("need_jacobian", True)
+
+        return metered
+
+    def reset(self) -> None:
+        self.calls = 0
+        self.jacobian_calls = 0
+
+
+@pytest.fixture
+def evaluation_meter():
+    """``evaluation_meter(mna)`` starts counting ``mna``'s device evaluations."""
+    return EvaluationMeter

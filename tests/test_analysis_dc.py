@@ -15,6 +15,7 @@ from repro.circuits.devices import (
     Resistor,
     VoltageSource,
 )
+from repro.resilience import inject_faults, singular_jacobian
 from repro.signals import DCStimulus, SinusoidStimulus
 from repro.utils import ConvergenceError, NewtonOptions
 
@@ -114,6 +115,28 @@ class TestNonlinearCircuits:
                 mna,
                 newton_options=NewtonOptions(max_iterations=1, min_damping=1.0, damping=1.0),
             )
+
+    @pytest.mark.no_fault_injection
+    def test_forced_gmin_stepping_reaches_the_same_solution(self):
+        """gmin stepping shares its evaluations between residual and Jacobian;
+        adding the gmin diagonal must not write into them."""
+        ckt = Circuit("diode stack")
+        ckt.add(VoltageSource("v1", "n0", ckt.GROUND, DCStimulus(3.0)))
+        ckt.add(Resistor("r1", "n0", "n1", 100.0))
+        ckt.add(Diode("d1", "n1", "n2"))
+        ckt.add(Diode("d2", "n2", "n3"))
+        ckt.add(Diode("d3", "n3", ckt.GROUND))
+        mna = ckt.compile()
+        reference = dc_operating_point(mna)
+        assert reference.strategy == "newton"
+        # A singular first linear solve makes plain Newton give up.
+        with inject_faults(singular_jacobian(site="newton.linear_solve", count=1)):
+            forced = dc_operating_point(mna)
+        assert forced.strategy == "gmin-stepping"
+        options = NewtonOptions()
+        tolerance = options.reltol * np.max(np.abs(reference.x)) + options.abstol
+        np.testing.assert_allclose(forced.x, reference.x, rtol=0.0, atol=tolerance)
+        assert forced.residual_norm <= options.abstol
 
 
 class TestSolutionObject:

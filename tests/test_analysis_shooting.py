@@ -5,11 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import run_transient, shooting_periodic_steady_state
+from repro.analysis import dc_operating_point, run_transient, shooting_periodic_steady_state
 from repro.circuits import Circuit
 from repro.circuits.devices import Capacitor, Diode, DiodeParams, Resistor, VoltageSource
+from repro.rf import unbalanced_switching_mixer
 from repro.signals import SinusoidStimulus, compute_spectrum, fourier_coefficient
-from repro.utils import AnalysisError, ConvergenceError, ShootingOptions, TransientOptions
+from repro.utils import (
+    AnalysisError,
+    ConvergenceError,
+    NewtonOptions,
+    ShootingOptions,
+    TransientOptions,
+)
 
 
 class TestLinearRCShooting:
@@ -146,3 +153,51 @@ class TestShootingAsDifferencePeriodBaseline:
         assert spectrum.amplitude_at(f1 - fd, tolerance=fd / 2) > 0.3
         # Cost bookkeeping: this is what makes the baseline expensive.
         assert result.stats.total_time_steps >= steps
+
+
+@pytest.mark.no_fault_injection
+class TestShootingEvaluationEffort:
+    """One device evaluation per distinct Newton iterate, with unchanged steps.
+
+    The switching mixer at disparity 10 (20 steps per LO cycle, as in the
+    speed-up benchmark) is small enough for tier-1 and strongly nonlinear.
+    """
+
+    steps = 200
+
+    @pytest.fixture
+    def mixer_mna(self):
+        mixer = unbalanced_switching_mixer(lo_frequency=2e6, difference_frequency=200e3)
+        mna = mixer.circuit.compile()
+        return mna, mixer.scales.difference_period
+
+    def test_one_evaluation_per_iterate(self, mixer_mna, evaluation_meter):
+        mna, period = mixer_mna
+        x0 = dc_operating_point(mna).x
+        meter = evaluation_meter(mna)
+        result = shooting_periodic_steady_state(
+            mna, period, x0=x0, options=ShootingOptions(steps_per_period=self.steps)
+        )
+        stats = result.stats
+        # One evaluation per accepted Newton iterate, one at the start of
+        # each shooting sweep, and a little room for line-search trials.
+        # Residual, Jacobian, monodromy and step history of an iterate share
+        # one evaluation (they used to cost about five).
+        assert meter.calls <= stats.newton_iterations + stats.shooting_iterations + 2
+        assert stats.total_time_steps == 2 * self.steps
+
+    def test_returned_steps_satisfy_step_equations(self, mixer_mna):
+        mna, period = mixer_mna
+        result = shooting_periodic_steady_state(
+            mna, period, options=ShootingOptions(steps_per_period=self.steps)
+        )
+        h = period / self.steps
+        q = np.array([mna.q(x) for x in result.states])
+        g = np.array([mna.f(x) + mna.source(t) for x, t in zip(result.states, result.times)])
+        # The first step is backward Euler, every later one trapezoidal:
+        #   (q1 - q0)/h + f1 + b1 = 0
+        #   2(q_{k+1} - q_k)/h + (f + b)_{k+1} + (f + b)_k = 0
+        first = (q[1] - q[0]) / h + g[1]
+        later = (2.0 / h) * (q[2:] - q[1:-1]) + g[2:] + g[1:-1]
+        worst = max(np.max(np.abs(first)), np.max(np.abs(later)))
+        assert worst <= NewtonOptions().abstol

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_transient
+from repro.analysis.evaluation import PointEvaluation
 from repro.circuits import Circuit
 from repro.circuits.devices import Capacitor, Inductor, Resistor, VoltageSource
 from repro.signals import DCStimulus, SinusoidStimulus
@@ -169,3 +170,60 @@ class TestTransientOptionsAndErrors:
         result = run_transient(mna, t_stop=1e-4, dt=1e-5)
         diff = result.differential_waveform("top", "mid")
         np.testing.assert_allclose(diff.values, 5.0, rtol=1e-6)
+
+
+@pytest.mark.no_fault_injection
+class TestTransientEvaluationEffort:
+    """The time-stepping loop evaluates devices once per distinct iterate."""
+
+    def test_full_newton_one_evaluation_per_iterate(self, diode_rectifier, evaluation_meter):
+        mna = diode_rectifier.compile()
+        meter = evaluation_meter(mna)
+        result = run_transient(mna, t_stop=2e-3, dt=1e-5, use_dc_initial=False)
+        # The initial state's evaluation plus one per Newton iterate (with a
+        # little room for line-search trials); the accepted state's history
+        # and the next step's first residual reuse the last one.
+        assert meter.calls <= result.stats.newton_iterations + 2
+
+    def test_chord_newton_stays_residual_only(self, rc_lowpass, evaluation_meter):
+        """A linear circuit never leaves the chord iteration: no Jacobian is built
+        except through the factorisations."""
+        mna = rc_lowpass.compile()
+        meter = evaluation_meter(mna)
+        result = run_transient(
+            mna,
+            t_stop=2e-3,
+            dt=1e-5,
+            use_dc_initial=False,
+            options=TransientOptions(chord_newton=True),
+        )
+        assert result.stats.jacobian_refactorisations >= 1
+        assert meter.jacobian_calls == result.stats.jacobian_refactorisations
+
+
+class TestPointEvaluation:
+    def test_handed_out_arrays_are_read_only(self, diode_rectifier):
+        mna = diode_rectifier.compile()
+        evaluation = PointEvaluation(mna).at(np.full(mna.n_unknowns, 0.3), jacobian=True)
+        for array in (evaluation.q, evaluation.f, evaluation.capacitance, evaluation.conductance):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] += 1.0
+
+    def test_reevaluates_only_when_x_changes(self, diode_rectifier, evaluation_meter):
+        mna = diode_rectifier.compile()
+        meter = evaluation_meter(mna)
+        point = PointEvaluation(mna)
+        x = np.full(mna.n_unknowns, 0.3)
+        residual_only = point.at(x)
+        assert residual_only.conductance is None
+        assert point.at(x.copy()) is residual_only
+        with_jacobian = point.at(x, jacobian=True)
+        assert with_jacobian.conductance is not None
+        assert point.at(x) is with_jacobian
+        assert meter.calls == 2
+        moved = point.at(x + 1e-3, jacobian=True)
+        assert meter.calls == 3
+        reference = mna.evaluate((x + 1e-3).reshape(1, -1))
+        np.testing.assert_array_equal(moved.f, reference.f)
+        np.testing.assert_array_equal(moved.conductance, reference.conductance)
