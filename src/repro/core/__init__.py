@@ -9,7 +9,7 @@ from .envelope import carrier_ripple, envelope_swing, extract_envelope, fast_sli
 from .grid import MultiTimeGrid
 from .mpde import MPDEProblem
 from .multitone_hb import TwoToneHBResult, two_tone_harmonic_balance
-from .solver import MPDEResult, MPDESolver, MPDEStats, solve_mpde
+from .solver import GridLevel, MPDEResult, MPDESolver, MPDEStats, solve_mpde
 from .timescales import (
     ShearedTimeScales,
     TimescaleBandwidths,
@@ -29,6 +29,7 @@ __all__ = [
     "MPDESolver",
     "MPDEResult",
     "MPDEStats",
+    "GridLevel",
     "solve_mpde",
     "TwoToneHBResult",
     "two_tone_harmonic_balance",

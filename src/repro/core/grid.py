@@ -34,7 +34,7 @@ from ..linalg.sparse import (
 from ..utils.exceptions import MPDEError
 from ..utils.validation import check_positive
 
-__all__ = ["MultiTimeGrid"]
+__all__ = ["MultiTimeGrid", "periodic_prolongation"]
 
 _DIFFERENTIATION = {
     "backward-euler": periodic_backward_difference,
@@ -162,3 +162,35 @@ class MultiTimeGrid:
             f"MultiTimeGrid(T1={self.period_fast:.3e}s x {self.n_fast}, "
             f"Td={self.period_slow:.3e}s x {self.n_slow})"
         )
+
+
+def _interpolate_periodic_axis(values: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """Periodic linear interpolation of ``values`` to ``n`` samples along ``axis``."""
+    m = values.shape[axis]
+    position = np.arange(n) * (m / n)  # target samples in source-index units
+    lower = np.floor(position).astype(int)
+    shape = [1] * values.ndim
+    shape[axis] = n
+    weight = (position - lower).reshape(shape)
+    below = np.take(values, lower % m, axis=axis)
+    above = np.take(values, (lower + 1) % m, axis=axis)
+    return (1.0 - weight) * below + weight * above
+
+
+def periodic_prolongation(values: np.ndarray, n_fast: int, n_slow: int) -> np.ndarray:
+    """Interpolate gridded data onto an ``n_fast x n_slow`` grid of the same periods.
+
+    ``values`` has shape ``(m_fast, m_slow, ...)`` on a uniform periodic
+    grid; each axis is linearly interpolated with wrap-around, so the
+    result has shape ``(n_fast, n_slow, ...)``.  The grid-sequenced MPDE start
+    (:meth:`~repro.core.solver.MPDESolver.solve`) uses it to carry a coarse
+    solution to the next finer grid.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim < 2:
+        raise MPDEError(
+            f"expected gridded data of shape (m_fast, m_slow, ...), got {values.shape}"
+        )
+    return _interpolate_periodic_axis(
+        _interpolate_periodic_axis(values, n_fast, axis=0), n_slow, axis=1
+    )

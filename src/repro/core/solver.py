@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..analysis.dc import dc_operating_point
 from ..circuits.mna import MNASystem
@@ -38,13 +37,14 @@ from ..linalg.preconditioners import (
     AdaptiveRefreshPolicy,
     downgrade_preconditioner_kind,
 )
+from ..linalg.sparse import sparse_lu
 from ..parallel.backends import resolve_execution
 from ..parallel.factor_service import ResidentFactorPool
 from ..parallel.pool import WorkerPool
 from ..resilience.checkpoint import SolveCheckpoint, solve_fingerprint
 from ..resilience.deadline import Deadline
 from ..resilience.diagnostics import attach_diagnostics, build_failure_diagnostics
-from ..resilience.faultinject import fault_site
+from ..resilience.faultinject import fault_site, faults_paused
 from ..resilience.taxonomy import RecoveryAttempt, classify_failure
 from ..signals.waveform import BivariateWaveform, Waveform
 from ..utils.exceptions import (
@@ -56,16 +56,51 @@ from ..utils.exceptions import (
 )
 from ..utils.logging import get_logger
 from ..utils.options import MPDEOptions, NewtonOptions
+from .grid import periodic_prolongation
 from .mpde import MPDEProblem
 from .timescales import ShearedTimeScales, UnshearedTimeScales
 
-__all__ = ["MPDEStats", "MPDEResult", "MPDESolver", "solve_mpde"]
+__all__ = ["GridLevel", "MPDEStats", "MPDEResult", "MPDESolver", "solve_mpde"]
 
 _LOG = get_logger("core.solver")
 
 #: Marker distinguishing "rung never ran an attempt" from a real failure in
 #: the multi-attempt rungs (downgrade chain, guess retry).
 _sentinel_failure = object()
+
+# Grid sequencing (nested iteration) of a solve that builds its own start:
+# requested grids of at least ``_SEQUENCE_MIN_POINTS`` points are first
+# solved on coarser grids, each halving both axes (ceil) while both stay at
+# least ``_SEQUENCE_MIN_AXIS`` long; a coarse level gets
+# ``_COARSE_NEWTON_BUDGET`` Newton iterations before the sequence is
+# abandoned for the plain start.
+_SEQUENCE_MIN_POINTS = 600
+_SEQUENCE_MIN_AXIS = 8
+_COARSE_NEWTON_BUDGET = 12
+
+
+def _coarse_grids(n_fast: int, n_slow: int) -> list[tuple[int, int]]:
+    """Coarse levels of the sequenced start for a grid, coarsest first."""
+    grids: list[tuple[int, int]] = []
+    if n_fast * n_slow < _SEQUENCE_MIN_POINTS:
+        return grids
+    while True:
+        n_fast, n_slow = -(-n_fast // 2), -(-n_slow // 2)
+        if min(n_fast, n_slow) < _SEQUENCE_MIN_AXIS:
+            return grids[::-1]
+        grids.append((n_fast, n_slow))
+
+
+@dataclass
+class GridLevel:
+    """Cost of one grid of a solve (see :attr:`MPDEStats.grid_levels`)."""
+
+    n_fast: int
+    n_slow: int
+    newton_iterations: int = 0
+    jacobian_factorizations: int = 0
+    seconds: float = 0.0
+    converged: bool = False
 
 
 @dataclass
@@ -168,6 +203,14 @@ class MPDEStats:
     #: Name of the ladder rung that produced the returned solution ("" when
     #: the baseline attempt converged on its own).
     recovered_by: str = ""
+    #: One :class:`GridLevel` per grid the solve ran Newton on: the coarse
+    #: levels of a grid-sequenced start (coarsest first; a failed level ends
+    #: the sequence), then the requested grid, whose entry takes what the
+    #: coarse levels leave of the totals and of ``wall_time_seconds``.
+    #: ``newton_iterations``, ``jacobian_factorizations`` and the time
+    #: buckets include the coarse levels' work; ``linear_solves`` and the
+    #: GMRES counters cover the requested grid only.
+    grid_levels: list = field(default_factory=list)
 
 
 @dataclass
@@ -558,7 +601,7 @@ class MPDESolver:
         factor_start = time.perf_counter()
         stats.eval_time_s += factor_start - start
         try:
-            factor = spla.splu(jacobian)
+            factor = sparse_lu(jacobian)
         except RuntimeError as exc:
             raise SingularMatrixError(f"sparse LU failed on the MPDE Jacobian: {exc}") from exc
         finally:
@@ -604,7 +647,7 @@ class MPDESolver:
             stats.jacobian_factorizations += 1
             start = time.perf_counter()
             try:
-                dx = spla.spsolve(jacobian, rhs)
+                dx = sparse_lu(jacobian).solve(rhs)
             except RuntimeError as exc:
                 raise SingularMatrixError(f"sparse LU failed on the MPDE Jacobian: {exc}") from exc
             finally:
@@ -839,13 +882,13 @@ class MPDESolver:
         return result.x
 
     # -- initial guess -----------------------------------------------------------------------
-    def _initial_guess(self, mode: str | None = None) -> np.ndarray:
+    def _initial_state(self, mode: str | None = None) -> np.ndarray:
+        """The circuit state an initial-guess mode tiles over a grid."""
         mode = mode if mode is not None else self.options.initial_guess
         if mode == "zero":
-            return self.problem.initial_guess_zero()
+            return np.zeros(self.problem.n_circuit_unknowns)
         if mode == "dc":
-            x_dc = dc_operating_point(self.problem.mna).x
-            return self.problem.initial_guess_from_state(x_dc)
+            return dc_operating_point(self.problem.mna).x
         if mode == "transient":
             # A short settling transient (a few fast periods) often lands much
             # closer to the steady state than the DC point for switching
@@ -858,8 +901,91 @@ class MPDESolver:
                 t_stop=5.0 * period,
                 dt=period / max(20, self.options.n_fast),
             )
-            return self.problem.initial_guess_from_state(result.final_state())
+            return result.final_state()
         raise MPDEError(f"unknown initial_guess mode {mode!r}")
+
+    def _sequenced_guess(self, stats: MPDEStats) -> np.ndarray:
+        """Initial guess of a solve that builds its own start (grid sequencing).
+
+        Solves the coarse levels of :func:`_coarse_grids` in turn, the
+        coarsest from the tiled ``options.initial_guess`` state and each
+        finer one from the periodic linear interpolation of the level
+        below, and returns the finest coarse solution interpolated onto the
+        requested grid.  When any level fails the sequence is abandoned and
+        the plain tiled guess is returned instead.  Fault plans are paused
+        meanwhile, so their schedules still count visits on the requested
+        grid only.
+        """
+        state = self._initial_state()
+        grids = _coarse_grids(self.options.n_fast, self.options.n_slow)
+        if not grids:
+            return self.problem.initial_guess_from_state(state)
+        n = self.problem.n_circuit_unknowns
+
+        def prolong(x: np.ndarray, coarse: tuple[int, int], fine: tuple[int, int]):
+            return periodic_prolongation(x.reshape(*coarse, n), *fine).ravel()
+
+        x = np.tile(state, grids[0][0] * grids[0][1])
+        previous = None
+        with faults_paused():
+            for grid in grids:
+                if previous is not None:
+                    x = prolong(x, previous, grid)
+                x = self._solve_coarse_level(x, grid, stats)
+                if x is None:
+                    return self.problem.initial_guess_from_state(state)
+                previous = grid
+        return prolong(x, previous, (self.options.n_fast, self.options.n_slow))
+
+    def _solve_coarse_level(
+        self, x0: np.ndarray, grid: tuple[int, int], stats: MPDEStats
+    ) -> np.ndarray | None:
+        """Newton on one coarse level; the solution, or None when it fails.
+
+        The level runs the serial direct chord path of a plain Newton run
+        (no recovery ladder, no continuation, no checkpoint files) under the
+        solve's own deadline, with a :data:`_COARSE_NEWTON_BUDGET` budget
+        (which a stalled chord run gets once more with per-iterate LUs).
+        Its Newton iterations, LUs and time buckets are added to ``stats``.
+        """
+        options = dataclasses.replace(
+            self.options,
+            n_fast=grid[0],
+            n_slow=grid[1],
+            linear_solver="direct",
+            matrix_free=False,
+            chord_newton=True,
+            parallel=False,
+            n_workers=1,
+            checkpoint_path=None,
+        )
+        level = GridLevel(*grid)
+        level_stats = MPDEStats()
+        started = time.perf_counter()
+        x = None
+        try:
+            solver = MPDESolver(
+                MPDEProblem(self.problem.mna, self.problem.scales, options), options
+            )
+            solver._deadline = self._deadline
+            x, level.converged = solver._newton(
+                x0, level_stats, max_iterations=_COARSE_NEWTON_BUDGET
+            )
+        except DeadlineExceededError as exc:
+            exc.partial_stats = stats
+            raise
+        except AnalysisError as exc:
+            _LOG.debug("grid-sequenced start: %dx%d level failed (%s)", *grid, exc)
+        finally:
+            level.seconds = time.perf_counter() - started
+            level.newton_iterations = level_stats.newton_iterations
+            level.jacobian_factorizations = level_stats.jacobian_factorizations
+            stats.grid_levels.append(level)
+            stats.newton_iterations += level_stats.newton_iterations
+            stats.jacobian_factorizations += level_stats.jacobian_factorizations
+            stats.eval_time_s += level_stats.eval_time_s
+            stats.factorization_time_s += level_stats.factorization_time_s
+        return x if level.converged else None
 
     # -- checkpoint/resume -------------------------------------------------------------------
     def _fingerprint(self) -> str:
@@ -919,8 +1045,13 @@ class MPDESolver:
         x0:
             Optional flattened initial guess of length ``P * n`` (or a single
             circuit state of length ``n``, which is tiled over the grid).
-            When omitted, the guess selected by ``options.initial_guess`` is
-            used.
+            When omitted, the solve builds its own start: grids of at least
+            600 points are first solved on coarser grids (grid sequencing,
+            each level halving both axes while both stay at least 8 long),
+            the coarsest from the ``options.initial_guess`` state tiled over
+            it and each finer one from the periodic linear interpolation of
+            the level below; a failed level falls back to the plain tiled
+            guess.  ``stats.grid_levels`` records every level.
         resume_from:
             A :class:`~repro.resilience.checkpoint.SolveCheckpoint` (or the
             path of one persisted via ``options.checkpoint_path``) recorded
@@ -964,9 +1095,8 @@ class MPDESolver:
         trace_marks = [len(sup.trace) for sup in supervisors]
         start = time.perf_counter()
 
-        if x0 is None:
-            x_start = self._initial_guess()
-        else:
+        x_start = None
+        if x0 is not None:
             x0 = np.asarray(x0, dtype=float)
             if x0.size == self.problem.n_circuit_unknowns:
                 x_start = self.problem.initial_guess_from_state(x0)
@@ -978,11 +1108,15 @@ class MPDESolver:
                         f"{self.problem.n_total_unknowns} (or {self.problem.n_circuit_unknowns})"
                     )
 
+        converged = False
         try:
+            if x_start is None:
+                x_start = self._sequenced_guess(stats)
             if self.options.recovery.enabled:
                 x = self._solve_with_recovery(x_start, stats)
             else:
                 x = self._solve_legacy(x_start, stats)
+            converged = True
         except DeadlineExceededError as exc:
             if exc.partial_stats is None:
                 exc.partial_stats = stats
@@ -1002,6 +1136,19 @@ class MPDESolver:
             raise
         finally:
             stats.wall_time_seconds = time.perf_counter() - start
+            coarse = list(stats.grid_levels)
+            stats.grid_levels.append(
+                GridLevel(
+                    n_fast=self.options.n_fast,
+                    n_slow=self.options.n_slow,
+                    newton_iterations=stats.newton_iterations
+                    - sum(level.newton_iterations for level in coarse),
+                    jacobian_factorizations=stats.jacobian_factorizations
+                    - sum(level.jacobian_factorizations for level in coarse),
+                    seconds=stats.wall_time_seconds - sum(level.seconds for level in coarse),
+                    converged=converged,
+                )
+            )
             # Merge this solve's supervisor events chronologically and
             # derive the per-solve fallback reason: the *first* reason any
             # healing / disabling event implied wins; with no events, the
@@ -1291,7 +1438,9 @@ class MPDESolver:
                     break
                 attempts += 1
                 try:
-                    x_retry = self._initial_guess(mode)
+                    x_retry = self.problem.initial_guess_from_state(
+                        self._initial_state(mode)
+                    )
                 except AnalysisError as exc:
                     stats.recovery_trace.append(
                         RecoveryAttempt(

@@ -85,7 +85,7 @@ import scipy.sparse.linalg as spla
 
 from ..utils.logging import get_logger
 from ..utils.options import PRECONDITIONER_KINDS
-from .sparse import BlockDiagStructure, kron_identity
+from .sparse import BlockDiagStructure, kron_identity, sparse_lu
 
 __all__ = [
     "PRECONDITIONER_KINDS",
@@ -340,7 +340,7 @@ def factor_harmonic_system(
     """
     matrix = (base + lam * c_blk).tocsc()
     try:
-        return spla.splu(matrix).solve, False
+        return sparse_lu(matrix).solve, False
     except RuntimeError:
         _LOG.warning(
             "block-circulant-fast preconditioner: slow harmonic %d is "

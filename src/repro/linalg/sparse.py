@@ -21,6 +21,9 @@ The compiled-assembly fast path lives here too:
   ``(D kron I_n) . blockdiag(C_p) + blockdiag(G_p)`` (the MPDE / collocation
   Jacobian), computed once per problem; per-iteration assembly is a single
   ``bincount`` scatter into a ready-made CSC skeleton.
+
+:func:`sparse_lu` is the one sparse LU recipe of the grid-sized solves (the
+MPDE Newton systems and the per-harmonic preconditioner blocks).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 __all__ = [
     "COOBuilder",
@@ -39,6 +43,7 @@ __all__ = [
     "block_diag_from_array",
     "kron_identity",
     "identity_kron",
+    "sparse_lu",
     "periodic_backward_difference",
     "periodic_bdf2_difference",
     "periodic_central_difference",
@@ -294,6 +299,27 @@ class CollocationJacobianAssembler:
         return (
             f"CollocationJacobianAssembler(P={self.n_points}, n={self.n}, nnz={self.nnz})"
         )
+
+
+#: SuperLU's diagonal pivot threshold for :func:`sparse_lu`.  The default
+#: 1.0 is full partial pivoting; 0.1 keeps the (COLAMD-ordered) diagonal
+#: pivot unless it is ten times smaller than the column maximum.  On the
+#: paper's 40 x 30 mixer Jacobian at its steady state that cuts the L+U
+#: fill from 1.69M to 1.17M entries (1.45M to 1.18M at the DC start), while
+#: the solve's relative residual stays near 1e-15.
+LU_PIVOT_THRESHOLD = 0.1
+
+
+def sparse_lu(matrix: sp.spmatrix) -> spla.SuperLU:
+    """Threshold-pivoted sparse LU (SuperLU, COLAMD column ordering).
+
+    Raises :class:`RuntimeError` on an exactly singular matrix, like
+    :func:`scipy.sparse.linalg.splu`.  The factorisation is deterministic:
+    the same matrix data always yields bitwise-identical factors.
+    """
+    return spla.splu(
+        sp.csc_matrix(matrix), permc_spec="COLAMD", diag_pivot_thresh=LU_PIVOT_THRESHOLD
+    )
 
 
 def block_diagonal(blocks: Iterable[sp.spmatrix | np.ndarray]) -> sp.csr_matrix:

@@ -59,6 +59,7 @@ from .faultinject import (
     chaos_specs,
     dispatch_fault,
     fault_site,
+    faults_paused,
     gmres_stall,
     inject_faults,
     nan_evaluation,
@@ -84,6 +85,7 @@ __all__ = [
     "build_profile_specs",
     "chaos_specs",
     "fault_site",
+    "faults_paused",
     "inject_faults",
     "singular_jacobian",
     "gmres_stall",

@@ -40,6 +40,11 @@ site                       context keys
 ``service.cache_build``    ``key`` (compiled-circuit cache key being built)
 ``service.job_dispatch``   ``job``, ``case``, ``attempt`` (1-based attempt)
 =========================  ====================================================
+
+The coarse levels of a grid-sequenced MPDE start run under
+:func:`faults_paused`, so a schedule aimed at an MPDE solve (an ``iteration``
+of ``solver.linear_solve``, the Nth ``mna.evaluate`` call) counts visits on
+the requested grid only, exactly as for an unsequenced solve.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ __all__ = [
     "chaos_specs",
     "dispatch_fault",
     "fault_site",
+    "faults_paused",
     "inject_faults",
     "singular_jacobian",
     "gmres_stall",
@@ -214,11 +220,33 @@ def active_fault_plan() -> FaultPlan | None:
     return _ACTIVE
 
 
+#: Per-thread pause depth set by :func:`faults_paused`.
+_PAUSED = threading.local()
+
+
 def fault_site(site: str, **context: Any) -> None:
     """Production-code injection hook; no-op unless a plan is armed."""
     plan = _ACTIVE
-    if plan is not None:
+    if plan is not None and not getattr(_PAUSED, "depth", 0):
         plan.visit(site, context)
+
+
+@contextmanager
+def faults_paused() -> Iterator[None]:
+    """Hide the armed plan from this thread's fault sites for the block.
+
+    Visits made inside the block neither fire nor advance any spec's
+    counters, so work the caller does on the side (the coarse levels of a
+    grid-sequenced MPDE start) cannot consume a schedule aimed at the
+    solve proper.  The pause is per thread: concurrent solves on other
+    threads keep seeing the plan.  Faults firing inside already-forked
+    worker processes are not affected.
+    """
+    _PAUSED.depth = getattr(_PAUSED, "depth", 0) + 1
+    try:
+        yield
+    finally:
+        _PAUSED.depth -= 1
 
 
 @contextmanager

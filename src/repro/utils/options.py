@@ -548,6 +548,15 @@ class MPDEOptions:
         iterations marks the cached preconditioner stale so it is rebuilt
         *before* the next solve (instead of only after an outright GMRES
         failure, which wasted a full failed solve).
+    initial_guess:
+        The circuit state a solve without ``x0`` / ``resume_from`` starts
+        from: ``"dc"`` (the DC operating point), ``"zero"`` or
+        ``"transient"`` (the final state of a short settling transient),
+        tiled over a grid.  On grids of at least 600 points the solve is
+        grid-sequenced and this state seeds only the coarsest level; each
+        finer level starts from the interpolated solution of the level
+        below, and a failed level falls back to this state tiled over the
+        requested grid (see :meth:`~repro.core.solver.MPDESolver.solve`).
     parallel:
         Route the solve through the parallel execution layer
         (:mod:`repro.parallel`): device evaluations run on the *sharded*

@@ -5,10 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.dc import dc_operating_point
 from repro.circuits import Circuit
 from repro.circuits.devices import Capacitor, Resistor, VoltageSource
 from repro.core import MPDEProblem, MPDESolver, ShearedTimeScales, solve_mpde
-from repro.rf import difference_tone_amplitude, ideal_multiplier_mixer, unbalanced_switching_mixer
+from repro.core import solver as solver_module
+from repro.core.grid import periodic_prolongation
+from repro.linalg.sparse import sparse_lu
+from repro.rf import (
+    balanced_lo_doubling_mixer,
+    difference_tone_amplitude,
+    ideal_multiplier_mixer,
+    unbalanced_switching_mixer,
+)
+from repro.scenarios import build_scenario_smoke
 from repro.signals import ModulatedCarrierStimulus, SinusoidStimulus, SumStimulus, TonePair
 from repro.signals.spectrum import fourier_coefficient
 from repro.utils import ConvergenceError, MPDEError, MPDEOptions, NewtonOptions
@@ -221,3 +231,116 @@ class TestResultAccessors:
         _, result = switching_result
         with pytest.raises(MPDEError):
             result.diagonal_waveform("out", t_start=1.0, t_stop=0.5)
+
+
+class TestGridSequencedStart:
+    """A solve that builds its own start first solves coarser grids."""
+
+    @pytest.fixture(scope="class")
+    def paper_mixer(self):
+        mixer = balanced_lo_doubling_mixer(450e6, 15e3)
+        mna = mixer.circuit.compile()
+        return mixer, mna, dc_operating_point(mna).x
+
+    @pytest.fixture(scope="class")
+    def paper_plain(self, paper_mixer):
+        mixer, mna, x_dc = paper_mixer
+        return solve_mpde(mna, mixer.scales, x0=x_dc)
+
+    @staticmethod
+    def _assert_agree(sequenced, plain, newton):
+        scale = float(np.max(np.abs(plain.states)))
+        difference = float(np.max(np.abs(sequenced.states - plain.states)))
+        assert difference <= newton.reltol * scale + newton.abstol
+
+    def test_paper_mixer_agrees_with_plain_start(self, paper_mixer, paper_plain):
+        mixer, mna, _ = paper_mixer
+        sequenced = solve_mpde(mna, mixer.scales)
+        grids = [(level.n_fast, level.n_slow) for level in sequenced.stats.grid_levels]
+        assert grids == [(10, 8), (20, 15), (40, 30)]
+        assert all(level.converged for level in sequenced.stats.grid_levels)
+        self._assert_agree(sequenced, paper_plain, MPDEOptions().newton)
+
+    def test_bpsk_smoke_agrees_with_plain_start(self):
+        case = build_scenario_smoke("bpsk_mixer").cases[0]
+        mna = case.circuit.compile()
+        options = MPDEOptions(n_fast=case.grid[0], n_slow=case.grid[1])
+        assert options.n_fast * options.n_slow >= 600
+        sequenced = solve_mpde(mna, case.scales, options)
+        plain = solve_mpde(mna, case.scales, options, x0=dc_operating_point(mna).x)
+        assert len(sequenced.stats.grid_levels) > 1
+        self._assert_agree(sequenced, plain, options.newton)
+
+    def test_harmonic_balance_grid_agrees_with_plain_start(self):
+        mixer = unbalanced_switching_mixer(lo_frequency=2e6, difference_frequency=50e3)
+        mna = mixer.compile()
+        options = MPDEOptions(
+            n_fast=30, n_slow=20, fast_method="fourier", slow_method="fourier"
+        )
+        sequenced = solve_mpde(mna, mixer.scales, options)
+        plain = solve_mpde(mna, mixer.scales, options, x0=dc_operating_point(mna).x)
+        grids = [(level.n_fast, level.n_slow) for level in sequenced.stats.grid_levels]
+        assert grids == [(15, 10), (30, 20)]
+        self._assert_agree(sequenced, plain, options.newton)
+
+    @pytest.mark.no_fault_injection
+    def test_failed_coarse_level_falls_back_to_plain_start(
+        self, paper_mixer, paper_plain, monkeypatch
+    ):
+        mixer, mna, _ = paper_mixer
+        monkeypatch.setattr(solver_module, "_COARSE_NEWTON_BUDGET", 1)
+        result = solve_mpde(mna, mixer.scales)
+        levels = result.stats.grid_levels
+        assert [(level.n_fast, level.n_slow, level.converged) for level in levels] == [
+            (10, 8, False),
+            (40, 30, True),
+        ]
+        assert np.array_equal(result.states, paper_plain.states)
+        assert levels[-1].newton_iterations == paper_plain.stats.newton_iterations
+        assert result.stats.newton_iterations == sum(l.newton_iterations for l in levels)
+
+    def test_explicit_start_skips_sequencing(self, paper_mixer, paper_plain, tmp_path):
+        assert [(l.n_fast, l.n_slow) for l in paper_plain.stats.grid_levels] == [(40, 30)]
+        mixer, mna, _ = paper_mixer
+        path = tmp_path / "paper.npz"
+        solve_mpde(mna, mixer.scales, checkpoint_path=path)
+        resumed = solve_mpde(mna, mixer.scales, resume_from=path)
+        assert [(l.n_fast, l.n_slow) for l in resumed.stats.grid_levels] == [(40, 30)]
+
+    def test_small_grids_are_not_sequenced(self, scaled_ideal_mixer):
+        mix = scaled_ideal_mixer
+        result = solve_mpde(mix.compile(), mix.scales, MPDEOptions(n_fast=24, n_slow=24))
+        assert [(l.n_fast, l.n_slow) for l in result.stats.grid_levels] == [(24, 24)]
+
+    @pytest.mark.no_fault_injection
+    def test_paper_grid_count_budget(self, paper_mixer):
+        mixer, mna, _ = paper_mixer
+        stats = solve_mpde(mna, mixer.scales).stats
+        requested = stats.grid_levels[-1]
+        assert (requested.n_fast, requested.n_slow) == (40, 30)
+        assert requested.jacobian_factorizations <= 2
+        assert requested.newton_iterations <= 6
+        assert stats.newton_iterations == sum(l.newton_iterations for l in stats.grid_levels)
+        buckets = stats.eval_time_s + stats.factorization_time_s
+        assert buckets <= stats.wall_time_seconds
+
+    def test_threshold_pivoted_lu_solves_paper_jacobian(self, paper_mixer):
+        mixer, mna, x_dc = paper_mixer
+        problem = MPDEProblem(mna, mixer.scales, MPDEOptions())
+        jacobian = problem.jacobian(problem.initial_guess_from_state(x_dc))
+        rhs = np.random.default_rng(7).standard_normal(jacobian.shape[0])
+        solution = sparse_lu(jacobian).solve(rhs)
+        residual = np.linalg.norm(jacobian @ solution - rhs) / np.linalg.norm(rhs)
+        assert residual <= 1e-12
+
+
+class TestPeriodicProlongation:
+    def test_same_grid_is_identity(self):
+        values = np.random.default_rng(3).standard_normal((6, 5, 2))
+        np.testing.assert_allclose(periodic_prolongation(values, 6, 5), values, rtol=0, atol=1e-15)
+
+    def test_linear_interpolation_wraps_around(self):
+        values = np.arange(4.0)[:, None, None] * np.ones((1, 3, 1))
+        fine = periodic_prolongation(values, 8, 3)
+        np.testing.assert_allclose(fine[:, 0, 0], [0, 0.5, 1, 1.5, 2, 2.5, 3, 1.5])
+        np.testing.assert_allclose(fine[:, 1, 0], fine[:, 0, 0])

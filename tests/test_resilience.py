@@ -14,6 +14,7 @@ the first rung, and so on).
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.resilience import (
     build_profile_specs,
     classify_failure,
     fault_site,
+    faults_paused,
     gmres_stall,
     inject_faults,
     nan_evaluation,
@@ -190,6 +192,25 @@ class TestFaultInjection:
             for i in range(4):  # matching visits: i=0, i=2
                 fault_site("s", i=i)
         assert spec.calls == 2 and spec.fired == 1
+
+    def test_paused_visits_neither_fire_nor_count(self):
+        fired = []
+        spec = FaultSpec(site="s", action=lambda ctx: fired.append(ctx["i"]), count=None)
+        with inject_faults(spec):
+            with faults_paused():
+                fault_site("s", i=0)
+            fault_site("s", i=1)
+        assert fired == [1] and spec.calls == 1
+
+    def test_pause_is_per_thread(self):
+        spec = FaultSpec(site="s", action=lambda ctx: None, count=None)
+        with inject_faults(spec):
+            with faults_paused():
+                other = threading.Thread(target=fault_site, args=("s",))
+                other.start()
+                other.join()
+                fault_site("s")
+        assert spec.calls == 1
 
     def test_plans_replace_and_restore(self):
         outer = FaultSpec(site="s", action=lambda ctx: None, count=None)
@@ -502,6 +523,22 @@ class TestBalancedMixerAcceptance:
         # The recovered solution is physical: outputs inside the rails.
         outp = result.bivariate("outp")
         assert 0.0 < outp.values.min() and outp.values.max() < 3.0
+
+
+    def test_schedule_targets_the_requested_grid_of_a_sequenced_solve(self):
+        mix = balanced_lo_doubling_mixer()
+        options = MPDEOptions(n_fast=32, n_slow=20)
+        spec = singular_jacobian(at_iteration=0, count=1)
+        with inject_faults(spec):
+            result = solve_mpde(mix.compile(), mix.scales, options)
+        stats = result.stats
+        assert [(l.n_fast, l.n_slow, l.converged) for l in stats.grid_levels] == [
+            (16, 10, True),
+            (32, 20, True),
+        ]
+        assert spec.fired == 1
+        assert stats.recovery_trace[0].rung == "baseline"
+        assert stats.recovered_by != ""
 
 
 # ---------------------------------------------------------------------------
